@@ -17,7 +17,6 @@ from repro.service.client import (
     InProcessTransport,
     MethodRetryPolicies,
     PipelineHandle,
-    RetryingTransport,
     connect_in_process,
 )
 from repro.service.endpoints import (
@@ -73,7 +72,6 @@ __all__ = [
     "ReadBatcher",
     "Request",
     "Response",
-    "RetryingTransport",
     "StaticRegistrySource",
     "connect",
     "connect_in_process",

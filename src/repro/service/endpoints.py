@@ -7,7 +7,7 @@ half of that deployment:
 
 * :class:`EndpointSet` parses a ``gallery://host:port,host:port`` URL into
   an ordered replica list plus connection options (wire dialect, timeout,
-  transport flavour, routing policy);
+  routing policy, QoS lane);
 * :class:`FailoverTransport` spreads calls across the replicas with
   **load-aware routing**: per-endpoint latency EWMA plus in-flight depth,
   power-of-two-choices pick among breaker-admitted non-draining replicas
@@ -60,6 +60,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.reliability.breaker import BreakerState, CircuitBreaker
+from repro.reliability.policy import RetryPolicy
 from repro.service import wire
 from repro.store.sharding import ShardMap
 from repro.service.client import (
@@ -70,7 +71,7 @@ from repro.service.client import (
     Transport,
 )
 from repro.service.server import MUTATING_METHODS
-from repro.service.tcp import PipelinedTcpTransport, TcpTransport
+from repro.service.tcp import PipelinedTcpTransport
 
 if TYPE_CHECKING:
     from repro.service.membership import FleetRegistry
@@ -79,7 +80,6 @@ if TYPE_CHECKING:
 SCHEME = "gallery"
 
 _DIALECTS = {"binary": wire.DIALECT_BINARY, "json": wire.DIALECT_JSON}
-_TRANSPORTS = ("pipelined", "serial")
 _ROUTINGS = ("p2c", "roundrobin", "shard")
 _LANES = (wire.LANE_INTERACTIVE, wire.LANE_BULK)
 
@@ -145,12 +145,6 @@ def parse_endpoint_options(query: str) -> dict[str, Any]:
             if timeout <= 0:
                 raise ValidationError("timeout must be positive")
             options["timeout"] = timeout
-        elif key == "transport":
-            if value not in _TRANSPORTS:
-                raise ValidationError(
-                    f"unknown transport {value!r} (pipelined or serial)"
-                )
-            options["transport"] = value
         elif key == "routing":
             if value not in _ROUTINGS:
                 raise ValidationError(
@@ -177,12 +171,11 @@ class EndpointSet:
         gallery://10.0.0.1:9000,10.0.0.2:9000?dialect=binary&timeout=10
 
     Query parameters: ``dialect`` (``binary``, the default, or ``json``),
-    ``timeout`` (per-call seconds, default 10), ``transport``
-    (``pipelined``, the default, or ``serial`` for one-call-at-a-time
-    connections), and ``routing`` (``p2c``, the default — latency-EWMA ×
-    in-flight power-of-two-choices; ``roundrobin`` for the blind
-    rotation; ``shard`` to additionally prefer the replica owning a
-    read's model coordinate — see :class:`FailoverTransport`), and
+    ``timeout`` (per-call seconds, default 10), ``routing`` (``p2c``, the
+    default — latency-EWMA × in-flight power-of-two-choices;
+    ``roundrobin`` for the blind rotation; ``shard`` to additionally
+    prefer the replica owning a read's model coordinate — see
+    :class:`FailoverTransport`), and
     ``lane`` (``interactive``, the default, or ``bulk`` — the QoS lane
     stamped on every request, weighting how the server's read batcher
     schedules this client against others).  Unknown parameters,
@@ -198,7 +191,6 @@ class EndpointSet:
     endpoints: tuple[Endpoint, ...]
     dialect: str = wire.DIALECT_BINARY
     timeout: float = 10.0
-    transport: str = "pipelined"
     routing: str = "p2c"
     lane: str = wire.LANE_INTERACTIVE
 
@@ -257,9 +249,9 @@ class EndpointSet:
 class _ResolvedExchange:
     """A pre-resolved stand-in for a pipelined exchange handle.
 
-    Used when a batch degrades to sequential round-trips (serial endpoint
-    transports): the work happens at submit time, the handle just replays
-    the outcome.
+    Used when a batch degrades to sequential round-trips (an endpoint
+    transport without ``submit_many``): the work happens at submit time,
+    the handle just replays the outcome.
     """
 
     __slots__ = ("_error", "_frame")
@@ -414,7 +406,10 @@ class FailoverTransport:
     * **Transport errors** (connection refused/reset, wire breakage) count
       against that endpoint's breaker, drop its connection, and fail the
       call over to the next endpoint immediately — no backoff, because a
-      different replica is an independent resource.  Mutations are only
+      different replica is an independent resource.  When the only pick
+      left is an endpoint that already failed this call (always so with a
+      single endpoint), the retry reconnects after the per-method backoff
+      instead, capped by the policy's deadline.  Mutations are only
       replayed when the frame carries a ``client_id``; the replicas'
       shared dedup table then answers the replay with the original
       response instead of executing it twice.
@@ -438,9 +433,9 @@ class FailoverTransport:
       degrades silently.  Call :meth:`refresh_topology` after a
       rebalance.
 
-    The retry budget is the same :class:`MethodRetryPolicies` the
-    single-endpoint stack uses, counted across *all* endpoints — a call
-    never takes more than one budget even when every replica is down.
+    The retry budget is one :class:`MethodRetryPolicies`, counted across
+    *all* endpoints — a call never takes more than one budget even when
+    every replica is down.
     """
 
     def __init__(
@@ -451,11 +446,9 @@ class FailoverTransport:
         transport_factory: Callable[[Endpoint], Transport] | None = None,
         failure_threshold: int = 3,
         reset_timeout: float = 1.0,
-        transient_errors: frozenset[str] = TRANSIENT_ERROR_TYPES,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         spread_batches: bool = True,
-        shard_routing: bool | None = None,
         drain_ttl: float = DEFAULT_DRAIN_TTL,
         rng: random.Random | None = None,
     ) -> None:
@@ -472,19 +465,13 @@ class FailoverTransport:
         self._failure_threshold = failure_threshold
         self._reset_timeout = reset_timeout
         self._policies = policies or MethodRetryPolicies.default()
-        self._transient_errors = transient_errors
         self._sleep = sleep
         self._clock = clock
         self._drain_ttl = drain_ttl
         # Seeded by default so routing decisions are reproducible run to
         # run (and in tests); inject an rng to vary or pin them.
         self._rng = rng or random.Random(0x9E3779B9)
-        routing = endpoint_set.routing
-        if shard_routing is True:
-            routing = "shard"
-        elif shard_routing is False and routing == "shard":
-            routing = "p2c"
-        self._routing = routing
+        self._routing = endpoint_set.routing
         self._states = [
             self._new_state(endpoint) for endpoint in endpoint_set.endpoints
         ]
@@ -526,10 +513,6 @@ class FailoverTransport:
     def _default_factory(
         endpoint_set: EndpointSet,
     ) -> Callable[[Endpoint], Transport]:
-        if endpoint_set.transport == "serial":
-            return lambda ep: TcpTransport(
-                ep.host, ep.port, timeout=endpoint_set.timeout
-            )
         return lambda ep: PipelinedTcpTransport(
             ep.host, ep.port, timeout=endpoint_set.timeout
         )
@@ -818,9 +801,16 @@ class FailoverTransport:
             return True
         return bool(request.client_id) and request.method in MUTATING_METHODS
 
-    def _policy_for(self, request: wire.Request | None):
+    def _policy_for(self, request: wire.Request | None) -> RetryPolicy:
         method = request.method if request is not None else ""
         return self._policies.for_method(method)
+
+    def _pause(self, delay: float, deadline: float | None) -> None:
+        """Sleep *delay* seconds, but never past *deadline*."""
+        if deadline is not None:
+            delay = min(delay, max(0.0, deadline - self._clock()))
+        if delay > 0:
+            self._sleep(delay)
 
     # -- transport contract ---------------------------------------------------
 
@@ -860,12 +850,8 @@ class FailoverTransport:
         attempt = 0
         while attempt < attempts_allowed:
             if attempt and backoff_next:
-                delay = policy.backoff(retry_number)
+                self._pause(policy.backoff(retry_number), deadline)
                 retry_number += 1
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - self._clock()))
-                if delay > 0:
-                    self._sleep(delay)
             if deadline is not None and self._clock() >= deadline and attempt:
                 break
             # Only the first attempt honours shard preference: a failed
@@ -877,6 +863,12 @@ class FailoverTransport:
                 # Every non-excluded endpoint is out; give already-failed
                 # ones another chance rather than faking a full outage.
                 failed.clear()
+                if not backoff_next:
+                    # The next pick re-dials a replica that already failed
+                    # this call (always so with a single endpoint): back
+                    # off first, as any retry against one server does.
+                    backoff_next = True
+                    continue
                 state = self._admit(None, drained | limited)
             if state is None:
                 if limited and limited_raw is not None and limited_sweeps < 1:
@@ -889,10 +881,7 @@ class FailoverTransport:
                         if limited_retry_after is not None
                         else RateLimitedError.DEFAULT_RETRY_AFTER
                     )
-                    if deadline is not None:
-                        delay = min(delay, max(0.0, deadline - self._clock()))
-                    if delay > 0:
-                        self._sleep(delay)
+                    self._pause(delay, deadline)
                     limited.clear()
                     limited_retry_after = None
                     limited_sweeps += 1
@@ -971,7 +960,7 @@ class FailoverTransport:
             if (
                 retryable
                 and not response.ok
-                and response.error_type in self._transient_errors
+                and response.error_type in TRANSIENT_ERROR_TYPES
             ):
                 # The replica is fine; its dependency flaked.  Retry with
                 # backoff (and a fresh pick), but leave the breaker alone.
@@ -1089,7 +1078,8 @@ class FailoverTransport:
             transport = state.transport()
             submit = getattr(transport, "submit_many", None)
             if submit is None:
-                # Serial endpoints: degrade to sequential failover calls.
+                # No pipelining (e.g. an injected transport_factory wrapper):
+                # degrade to sequential failover calls.
                 return [self._resolved(frame) for frame in frames]
             try:
                 exchanges = submit(frames)
@@ -1161,7 +1151,7 @@ def connect(
     graceful-drain re-routing, per-method retry budgets, and exactly-once
     mutations via the stable ``client_id`` the server replicas
     deduplicate on.  Also works fine with a single endpoint: the failover
-    machinery then degrades to reconnect-and-retry against that address.
+    machinery then degrades to reconnect-with-backoff against that address.
 
     A ``gallery+file://`` or ``gallery+http(s)://`` URL names a **fleet
     registry** instead of a fixed endpoint list::

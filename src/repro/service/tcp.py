@@ -16,8 +16,6 @@ the reproduction's wire frames over real sockets:
   connection, correlating responses by request_id; ``submit``/
   ``submit_many`` expose the asynchronous path and ``__call__`` keeps the
   plain ``bytes -> bytes`` transport contract.
-* :class:`ConnectionPool` — a thread-safe pool of serial transports so N
-  worker threads stop serializing on a single socket.
 * :class:`ThreadedGalleryTcpServer` — the pre-overhaul thread-per-
   connection server, kept as the benchmark baseline.
 
@@ -1250,156 +1248,3 @@ class PipelinedTcpTransport:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class _PooledExchange:
-    """A pre-resolved pipeline handle: :meth:`ConnectionPool.submit_many`
-    finishes every call before returning, so ``wait`` never blocks."""
-
-    __slots__ = ("_frame", "_error")
-
-    def __init__(self) -> None:
-        self._frame: bytes | None = None
-        self._error: BaseException | None = None
-
-    def resolve(self, frame: bytes) -> None:
-        self._frame = frame
-
-    def fail(self, exc: BaseException) -> None:
-        self._error = exc
-
-    def wait(self, timeout: float | None = None) -> bytes:
-        if self._error is not None:
-            raise self._error
-        assert self._frame is not None
-        return self._frame
-
-    def done(self) -> bool:
-        return self._frame is not None or self._error is not None
-
-
-class ConnectionPool:
-    """A thread-safe pool of serial transports.
-
-    N worker threads calling through one :class:`TcpTransport` serialize
-    on its single socket; a pool gives each concurrent call its own
-    connection, up to *size*, with LIFO reuse so hot sockets stay hot.
-    Failed transports are closed and their slot recycled (the next call
-    dials a fresh connection).  ``transport_factory`` lets tests wrap each
-    pooled transport (e.g. in a chaos
-    :class:`~repro.reliability.faults.FaultyTransport`).
-
-    ``submit_many`` gives :class:`~repro.service.client.ClientPipeline`
-    something better than one-frame-at-a-time: the batch is sharded
-    round-robin across up to *size* concurrent connections.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        size: int = 8,
-        timeout: float = 10.0,
-        transport_factory: Callable[[], Callable[[bytes], bytes]] | None = None,
-    ) -> None:
-        if size < 1:
-            raise ValueError("pool size must be positive")
-        self._factory = transport_factory or (
-            lambda: TcpTransport(host, port, timeout=timeout)
-        )
-        self.size = size
-        self._slots: queue.LifoQueue = queue.LifoQueue()
-        for _ in range(size):
-            self._slots.put(None)  # lazily dialed on first checkout
-        #: bumped by close(): transports checked out under an older
-        #: generation are closed on return instead of re-pooled, so a
-        #: membership swap that closes the pool mid-call cannot leak the
-        #: in-flight socket back into a pool nobody will close again.
-        self._generation = 0
-        #: calls that had to dial a fresh connection
-        self.dials = 0
-
-    def __call__(self, data: bytes) -> bytes:
-        generation = self._generation
-        transport = self._slots.get()
-        if transport is None:
-            transport = self._factory()
-            self.dials += 1
-        try:
-            result = transport(data)
-        except BaseException:
-            # Never return a possibly-desynchronized transport to the pool.
-            try:
-                close = getattr(transport, "close", None)
-                if close is not None:
-                    close()
-            finally:
-                self._slots.put(None)
-            raise
-        if generation != self._generation:
-            # The pool was closed while this call was on the wire: the
-            # endpoint left the fleet.  Close instead of re-pooling.
-            self._close_transport(transport)
-            self._slots.put(None)
-        else:
-            self._slots.put(transport)
-        return result
-
-    @staticmethod
-    def _close_transport(transport: object) -> None:
-        close = getattr(transport, "close", None)
-        if close is not None:
-            try:
-                close()
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
-
-    def submit_many(self, frames: list[bytes]) -> list[_PooledExchange]:
-        """Spread one batch across the pool's connections.
-
-        Frames shard round-robin over up to ``min(size, len(frames))``
-        worker threads, each draining its shard through the pool's normal
-        checkout/recycle path (so a transport that fails mid-shard is
-        closed and replaced, not reused).  Per-frame failures park in
-        their own handle; every handle is resolved on return.
-        """
-        if not frames:
-            return []
-        handles = [_PooledExchange() for _ in frames]
-        workers = min(self.size, len(frames))
-
-        def run(worker: int) -> None:
-            for index in range(worker, len(frames), workers):
-                try:
-                    handles[index].resolve(self(frames[index]))
-                except BaseException as exc:  # noqa: BLE001 - park per frame
-                    handles[index].fail(exc)
-
-        threads = [
-            threading.Thread(
-                target=run, args=(worker,), name="gallery-pool-flush"
-            )
-            for worker in range(1, workers)
-        ]
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-        return handles
-
-    def close(self) -> None:
-        # Bump first: any call already holding a transport sees the new
-        # generation when it returns and closes its socket itself.
-        self._generation += 1
-        drained = 0
-        while drained < self.size:
-            try:
-                transport = self._slots.get_nowait()
-            except queue.Empty:
-                break  # slots checked out by in-flight calls
-            drained += 1
-            if transport is not None:
-                self._close_transport(transport)
-        for _ in range(drained):
-            self._slots.put(None)

@@ -41,7 +41,8 @@ from repro.reliability import (
     RetryPolicy,
     corrupt_blob_at_rest,
 )
-from repro.service.client import GalleryClient, RetryingTransport
+from repro.service import connect
+from repro.service.client import GalleryClient, MethodRetryPolicies
 from repro.service.server import GalleryService
 from repro.service.tcp import GalleryTcpServer, PipelinedTcpTransport, TcpTransport
 from repro.store.blob import FilesystemBlobStore
@@ -76,25 +77,30 @@ def build_stack(tmp_path, store_injector=None):
 def chaos_client(host, port, client_id, injector, seed, pipelined=False):
     """A Gallery client whose wire is flaky but whose retries are armed.
 
-    ``pipelined=True`` routes every frame through the overhauled
-    :class:`PipelinedTcpTransport` instead of the serial transport, so the
-    chaos suite exercises BOTH client paths against the event-loop server.
+    Built by :func:`connect` — the production retry, breaker and reconnect
+    stack — over one endpoint whose every connection is wrapped in a
+    seeded :class:`FaultyTransport`.  ``pipelined=True`` dials the
+    overhauled :class:`PipelinedTcpTransport` instead of the serial
+    transport, so the chaos suite exercises BOTH client paths against the
+    event-loop server.
     """
-    if pipelined:
-        inner = PipelinedTcpTransport(host, port, timeout=5.0)
-    else:
-        inner = TcpTransport(host, port, timeout=5.0)
-    transport = RetryingTransport(
-        FaultyTransport(inner, injector),
-        policy=RetryPolicy(
-            max_attempts=8,
-            base_delay=0.05,
-            max_delay=1.0,
-            jitter=0.1,
-            seed=seed,
+    policy = RetryPolicy(
+        max_attempts=8,
+        base_delay=0.05,
+        max_delay=1.0,
+        jitter=0.1,
+        seed=seed,
+    )
+    dial = PipelinedTcpTransport if pipelined else TcpTransport
+    client = connect(
+        f"gallery://{host}:{port}",
+        client_id=client_id,
+        policies=MethodRetryPolicies(read=policy, blob=policy, mutation=policy),
+        transport_factory=lambda ep: FaultyTransport(
+            dial(ep.host, ep.port, timeout=5.0), injector
         ),
     )
-    return GalleryClient(transport, client_id=client_id), transport
+    return client, client._transport  # noqa: SLF001 - closed by the caller
 
 
 def test_harness_smoke_dedup_and_restart(tmp_path):

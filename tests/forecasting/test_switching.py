@@ -10,7 +10,7 @@ from repro.forecasting.pipeline import ForecastingPipeline, ModelSpecification
 from repro.forecasting.switching import (
     EventSwitchingController,
     ModelCache,
-    Switchboard,
+    RegistrySwitchboard,
     register_switch_action,
     simulate_serving,
 )
@@ -25,32 +25,41 @@ from repro.rules.actions import ActionContext, ActionRegistry
 from repro.rules.engine import RuleEngine
 
 
+@pytest.fixture
+def board(memory_gallery):
+    """A registry-backed switchboard over enabled instances inst-1..inst-3
+    (assign_serving only routes traffic at real, reviewed instances)."""
+    memory_gallery.create_model("forecasting", "demand")
+    for n in (1, 2, 3):
+        memory_gallery.upload_model(
+            "forecasting", "demand", f"weights-{n}".encode(), instance_id=f"inst-{n}"
+        )
+    return RegistrySwitchboard(memory_gallery)
+
+
 class TestSwitchboard:
-    def test_assign_and_query(self):
-        board = Switchboard()
+    def test_assign_and_query(self, board):
         board.assign("sf", "inst-1", hour=5)
         assert board.serving("sf") == "inst-1"
 
-    def test_noop_switch_not_recorded(self):
-        board = Switchboard()
+    def test_noop_switch_not_recorded(self, board):
         board.assign("sf", "inst-1")
         board.assign("sf", "inst-1")
         assert board.switch_count("sf") == 1
+        assert len(board.history) == 1
 
-    def test_unserved_city_raises(self):
+    def test_unserved_city_raises(self, board):
         with pytest.raises(NotFoundError):
-            Switchboard().serving("ghost")
+            board.serving("ghost")
 
-    def test_history_records_reason_and_hour(self):
-        board = Switchboard()
+    def test_history_records_reason_and_hour(self, board):
         board.assign("sf", "inst-1", hour=3, reason="event window")
         record = board.history[0]
         assert (record.city, record.hour, record.reason) == ("sf", 3, "event window")
 
 
 class TestSwitchAction:
-    def test_action_updates_switchboard(self):
-        board = Switchboard()
+    def test_action_updates_switchboard(self, board):
         actions = ActionRegistry()
         register_switch_action(actions, board)
         result = actions.execute(
@@ -66,8 +75,7 @@ class TestSwitchAction:
         assert board.serving("sf") == "inst-2"
         assert board.history[0].hour == 9
 
-    def test_city_falls_back_to_document(self):
-        board = Switchboard()
+    def test_city_falls_back_to_document(self, board):
         actions = ActionRegistry()
         register_switch_action(actions, board)
         actions.execute(
@@ -112,7 +120,7 @@ def switching_world(memory_gallery):
     base = pipeline.train_city(series, base_spec, train_hours=train_hours)
     event = pipeline.train_city(series, event_spec, train_hours=train_hours)
     engine = RuleEngine(memory_gallery, clock=ManualClock())
-    board = Switchboard()
+    board = RegistrySwitchboard(memory_gallery)
     controller = EventSwitchingController(memory_gallery, engine, board)
     return {
         "gallery": memory_gallery,
@@ -156,7 +164,9 @@ class TestController:
             ModelSpecification("only_base", lambda: RidgeRegression(), FeatureSpec()),
         )
         engine = RuleEngine(memory_gallery, clock=ManualClock())
-        controller = EventSwitchingController(memory_gallery, engine, Switchboard())
+        controller = EventSwitchingController(
+            memory_gallery, engine, RegistrySwitchboard(memory_gallery)
+        )
         assert controller.champion("solo", event_active=True) == base.instance.instance_id
 
 

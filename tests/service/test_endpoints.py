@@ -111,16 +111,21 @@ class TestEndpointParsing:
         assert len(es) == 2
         assert es.dialect == wire.DIALECT_BINARY
         assert es.timeout == 10.0
-        assert es.transport == "pipelined"
+        assert es.routing == "p2c"
 
     def test_query_parameters(self):
         es = EndpointSet.parse(
-            "gallery://h:1?dialect=json&timeout=2.5&transport=serial"
+            "gallery://h:1?dialect=json&timeout=2.5&routing=roundrobin"
         )
         assert es.dialect == wire.DIALECT_JSON
         assert es.timeout == 2.5
-        assert es.transport == "serial"
+        assert es.routing == "roundrobin"
         assert es.lane == wire.LANE_INTERACTIVE  # the default
+        # Every endpoint speaks the pipelined transport; the old selector
+        # is an unknown key like any other.
+        for value in ("serial", "pipelined"):
+            with pytest.raises(ValidationError, match="unknown query parameter"):
+                EndpointSet.parse(f"gallery://h:1?transport={value}")
 
     def test_lane_query_parameter(self):
         es = EndpointSet.parse("gallery://h:1?lane=bulk")
@@ -186,15 +191,70 @@ class TestRouting:
             return ok_frame("from-a")
 
         fleet = Fleet({"a:1": flaky, "b:2": lambda d: ok_frame("from-b")})
+        sleeps = []
         transport = FailoverTransport(
             two_endpoints(), policies=fast_policies(),
-            transport_factory=fleet.factory, sleep=lambda s: None,
+            transport_factory=fleet.factory, sleep=sleeps.append,
         )
         raw = transport(read_frame())
         assert wire.decode_response(raw).result == "from-b"
         assert transport.failovers == 1
+        # a different replica is an independent resource: no backoff
+        assert sleeps == []
         # the broken connection was dropped; the next dial is fresh
         assert fleet.dialed["a:1"][0].closed == 1
+
+    def test_single_endpoint_retry_backs_off_before_redialing(self):
+        """With one replica every retry re-dials the endpoint that just
+        failed, so it must back off per the policy like any retry, not
+        hammer a restarting server with back-to-back reconnects."""
+        failures = {"left": 2}
+
+        def restarting(data):
+            if failures["left"]:
+                failures["left"] -= 1
+                raise ServiceError("transport failure: connection refused")
+            return ok_frame("back")
+
+        policy = RetryPolicy(max_attempts=5, base_delay=0.02, deadline=5.0)
+        sleeps = []
+        transport = FailoverTransport(
+            (Endpoint("a", 1),),
+            policies=MethodRetryPolicies(read=policy, blob=policy, mutation=policy),
+            transport_factory=Fleet({"a:1": restarting}).factory,
+            sleep=sleeps.append,
+        )
+        raw = transport(read_frame())
+        assert wire.decode_response(raw).result == "back"
+        assert transport.attempts == 3
+        assert sleeps == [policy.backoff(1), policy.backoff(2)]
+        assert 0.02 <= sleeps[0] < sleeps[1]
+
+    def test_single_endpoint_backoff_is_capped_by_the_deadline(self):
+        clock = TickingClock()
+
+        def dead(data):
+            raise ConnectionRefusedError("nobody home")
+
+        policy = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.0, deadline=1.5)
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock.advance(seconds)
+
+        transport = FailoverTransport(
+            (Endpoint("a", 1),),
+            policies=MethodRetryPolicies(read=policy, blob=policy, mutation=policy),
+            transport_factory=Fleet({"a:1": dead}).factory,
+            failure_threshold=10, sleep=sleep, clock=clock,
+        )
+        with pytest.raises(ServiceError):
+            transport(read_frame())
+        # 1.0 s fits the 1.5 s budget; the next 2.0 s backoff is cut to the
+        # 0.5 s left, and the spent deadline then ends the call.
+        assert sleeps == [1.0, 0.5]
+        assert transport.attempts == 2
 
     def test_breaker_opens_and_dead_endpoint_is_skipped(self):
         def dead(data):

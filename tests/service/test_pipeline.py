@@ -1,13 +1,12 @@
-"""Pipelined transport, connection pool, and client pipeline helpers.
+"""Pipelined transport and client pipeline helpers.
 
 The overhauled serving plane allows many requests in flight at once:
 
 * :class:`PipelinedTcpTransport` multiplexes one connection by request_id
   (responses may return in any order) and keeps the serial transport's
   half-open restart semantics on the blocking path;
-* :class:`ConnectionPool` hands each concurrent caller its own socket;
-* :meth:`GalleryClient.pipeline` batches calls over either, falling back
-  to sequential exchanges on a plain transport.
+* :meth:`GalleryClient.pipeline` batches calls over it, falling back to
+  sequential exchanges on a plain transport.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.service import wire
 from repro.service.client import GalleryClient, connect_in_process
 from repro.service.server import GalleryService
 from repro.service.tcp import (
-    ConnectionPool,
     GalleryTcpServer,
     PipelinedTcpTransport,
     ThreadedGalleryTcpServer,
@@ -169,79 +167,6 @@ class TestMultiplexing:
             thread.join(timeout=60)
         assert errors == []
         assert len(gallery.instances_of("demand")) == 48
-
-
-class TestConnectionPool:
-    def test_pooled_concurrent_writers(self):
-        gallery, service = build_service()
-        with GalleryTcpServer(service) as server:
-            host, port = server.address
-            pool = ConnectionPool(host, port, size=4)
-            client = GalleryClient(pool)
-            client.create_gallery_model("p", "demand")
-            errors: list[Exception] = []
-
-            def worker(worker_id: int) -> None:
-                try:
-                    for index in range(6):
-                        client.upload_model(
-                            "p", "demand", f"p{worker_id}-{index}".encode()
-                        )
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert errors == []
-            assert len(gallery.instances_of("demand")) == 48
-            assert pool.dials <= pool.size  # connections were reused
-            pool.close()
-
-    def test_factory_hook_wraps_every_pooled_transport(self):
-        _, service = build_service()
-        with GalleryTcpServer(service) as server:
-            host, port = server.address
-            built = []
-
-            def factory():
-                from repro.service.tcp import TcpTransport
-
-                transport = TcpTransport(host, port)
-                built.append(transport)
-                return transport
-
-            pool = ConnectionPool(host, port, size=2, transport_factory=factory)
-            client = GalleryClient(pool)
-            client.create_gallery_model("p", "demand")
-            assert len(built) == 1  # lazily dialed, one caller -> one transport
-            pool.close()
-
-    def test_failed_transport_is_recycled_not_reused(self):
-        _, service = build_service()
-        server = GalleryTcpServer(service).start()
-        host, port = server.address
-        pool = ConnectionPool(host, port, size=1, timeout=2.0)
-        client = GalleryClient(pool)
-        client.create_gallery_model("p", "demand")
-        server.stop()
-        with pytest.raises((ServiceError, OSError)):
-            client.audit_storage()
-        # The dead transport was dropped; a fresh server on the same port
-        # is reachable through the same pool.
-        server = GalleryTcpServer(service, host=host, port=port).start()
-        try:
-            assert client.audit_storage()["consistent"]
-            assert pool.dials >= 2
-        finally:
-            pool.close()
-            server.stop()
-
-    def test_rejects_silly_sizes(self):
-        with pytest.raises(ValueError):
-            ConnectionPool("127.0.0.1", 1, size=0)
 
 
 class TestClientPipeline:

@@ -1,6 +1,10 @@
-"""RetryingTransport: transport retries, write safety, breaker, dedup.
+"""The client retry path over one endpoint: retries, write safety,
+breaker, dedup.
 
-The interplay under test is the heart of the fault-tolerant control plane:
+Every test runs a one-endpoint :class:`FailoverTransport` — what
+``connect("gallery://host:port")`` builds — whose ``transport_factory``
+wraps a chaos :class:`FaultyTransport` around an in-process service.  The
+interplay under test is the heart of the fault-tolerant control plane:
 
 * idempotent reads retry blindly;
 * mutating writes retry ONLY when the frame carries a ``client_id`` so the
@@ -10,6 +14,8 @@ The interplay under test is the heart of the fault-tolerant control plane:
 * the circuit breaker counts transport failures, not relayed store errors.
 """
 
+import time
+
 import pytest
 
 from repro.core.clock import ManualClock
@@ -17,7 +23,6 @@ from repro.core.ids import SeededIdFactory
 from repro.core.registry import Gallery
 from repro.errors import CircuitOpenError, MetadataStoreError, ServiceError
 from repro.reliability import (
-    CircuitBreaker,
     FaultInjector,
     FaultKind,
     FaultyMetadataStore,
@@ -31,8 +36,8 @@ from repro.service.client import (
     GalleryClient,
     InProcessTransport,
     MethodRetryPolicies,
-    RetryingTransport,
 )
+from repro.service.endpoints import Endpoint, FailoverTransport
 from repro.service.server import MUTATING_METHODS, GalleryService
 from repro.store.blob import InMemoryBlobStore
 from repro.store.cache import LRUBlobCache
@@ -40,21 +45,28 @@ from repro.store.dal import DataAccessLayer
 from repro.store.metadata_store import InMemoryMetadataStore
 
 
-def fast_policy(max_attempts=4):
-    return RetryPolicy(max_attempts=max_attempts, sleep=lambda _s: None)
+def fast_policies(max_attempts=4):
+    policy = RetryPolicy(max_attempts=max_attempts, base_delay=0.0, jitter=0.0)
+    return MethodRetryPolicies(read=policy, blob=policy, mutation=policy)
 
 
-class FrozenClock:
-    """Callable clock that only moves when told to (breaker timing)."""
+def one_endpoint(service, injector, policies, failure_threshold=100, **kwargs):
+    """A one-endpoint failover transport over a faulty in-process wire.
 
-    def __init__(self):
-        self.now = 0.0
-
-    def advance(self, seconds):
-        self.now += seconds
-
-    def __call__(self):
-        return self.now
+    The default breaker threshold is out of reach so the retry-budget tests
+    count attempts, not breaker rejections; :class:`TestCircuitBreaker`
+    lowers it.
+    """
+    return FailoverTransport(
+        (Endpoint("replica", 1),),
+        policies=policies,
+        transport_factory=lambda _ep: FaultyTransport(
+            InProcessTransport(service), injector
+        ),
+        failure_threshold=failure_threshold,
+        sleep=lambda _s: None,
+        **kwargs,
+    )
 
 
 @pytest.fixture
@@ -67,8 +79,7 @@ def faulty_stack():
     gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
     engine = RuleEngine(gallery, clock=ManualClock(), bus=gallery.bus)
     service = GalleryService(gallery, engine)
-    faulty = FaultyTransport(InProcessTransport(service), wire_injector)
-    transport = RetryingTransport(faulty, policy=fast_policy())
+    transport = one_endpoint(service, wire_injector, fast_policies())
     client = GalleryClient(transport)
     return {
         "service": service,
@@ -90,12 +101,14 @@ class TestMethodTables:
 class TestTransportFaults:
     def test_read_survives_dropped_frames(self, faulty_stack):
         client = faulty_stack["client"]
+        transport = faulty_stack["transport"]
         client.create_gallery_model("p", "demand")
         instance = client.upload_model("p", "demand", b"weights")
         faulty_stack["wire_injector"].inject_next("call", FaultKind.DROP)
+        before = transport.attempts
         got = client.get_model_instance(instance["instance_id"])
         assert got["instance_id"] == instance["instance_id"]
-        assert faulty_stack["transport"].retries >= 1
+        assert transport.attempts == before + 2  # the drop, then the retry
 
     def test_lost_response_write_is_not_double_applied(self, faulty_stack):
         client = faulty_stack["client"]
@@ -175,13 +188,12 @@ class TestPerMethodRetryBudgets:
         )
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(2))
         service = GalleryService(gallery, RuleEngine(gallery, clock=ManualClock()))
-        faulty = FaultyTransport(InProcessTransport(service), injector)
-        transport = RetryingTransport(faulty, policies=policies)
+        transport = one_endpoint(service, injector, policies)
         return GalleryClient(transport), injector, transport, gallery
 
     @staticmethod
     def budgets(read_attempts=4, blob_attempts=2, mutation_attempts=2):
-        sleepless = dict(base_delay=0.0, jitter=0.0, sleep=lambda _s: None)
+        sleepless = dict(base_delay=0.0, jitter=0.0)
         return MethodRetryPolicies(
             read=RetryPolicy(max_attempts=read_attempts, **sleepless),
             blob=RetryPolicy(max_attempts=blob_attempts, **sleepless),
@@ -243,54 +255,50 @@ class TestPerMethodRetryBudgets:
         assert policies.read.max_attempts >= policies.blob.max_attempts
         assert policies.blob.deadline > policies.read.deadline
 
-    def test_global_policy_and_per_method_policies_are_exclusive(self):
-        with pytest.raises(ValueError):
-            RetryingTransport(
-                lambda data: data,
-                policy=RetryPolicy(),
-                policies=MethodRetryPolicies.default(),
-            )
-
 
 class TestCircuitBreaker:
-    def build(self, clock):
+    RESET_TIMEOUT = 0.05
+
+    def build(self):
         injector = FaultInjector(seed=3, rate=0.0)
         dal = DataAccessLayer(
             InMemoryMetadataStore(), InMemoryBlobStore(), LRUBlobCache(1 << 20)
         )
         gallery = Gallery(dal, clock=ManualClock(), id_factory=SeededIdFactory(1))
         service = GalleryService(gallery, RuleEngine(gallery, clock=ManualClock()))
-        faulty = FaultyTransport(InProcessTransport(service), injector)
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0, clock=clock)
-        transport = RetryingTransport(
-            faulty, policy=fast_policy(max_attempts=1), breaker=breaker
+        transport = one_endpoint(
+            service,
+            injector,
+            fast_policies(max_attempts=1),
+            failure_threshold=2,
+            reset_timeout=self.RESET_TIMEOUT,
         )
-        return GalleryClient(transport), injector, breaker
+        return GalleryClient(transport), injector, transport
 
     def test_breaker_opens_after_transport_failures_and_recovers(self):
-        clock = FrozenClock()
-        client, injector, breaker = self.build(clock)
+        client, injector, transport = self.build()
         for _ in range(2):
             injector.inject_next("call", FaultKind.DROP)
             with pytest.raises(ServiceError):
                 client.audit_storage()
+        assert transport.breaker_states() == {"replica:1": "open"}
         # Circuit open: the next call is rejected without touching the wire.
+        before = transport.attempts
         with pytest.raises(CircuitOpenError):
             client.audit_storage()
-        assert breaker.rejections == 1
-        clock.advance(10.0)  # reset timeout elapses -> half-open probe
+        assert transport.attempts == before
+        time.sleep(self.RESET_TIMEOUT + 0.01)  # reset timeout -> half-open probe
         assert client.audit_storage()["consistent"]
         assert client.audit_storage()["consistent"]  # closed again
+        assert transport.breaker_states() == {"replica:1": "closed"}
 
     def test_relayed_store_errors_do_not_trip_the_breaker(self, faulty_stack):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0)
-        transport = RetryingTransport(
-            FaultyTransport(
-                InProcessTransport(faulty_stack["service"]),
-                FaultInjector(rate=0.0),
-            ),
-            policy=fast_policy(max_attempts=1),
-            breaker=breaker,
+        transport = one_endpoint(
+            faulty_stack["service"],
+            FaultInjector(rate=0.0),
+            fast_policies(max_attempts=1),
+            failure_threshold=1,
+            reset_timeout=10.0,
         )
         client = GalleryClient(transport)
         client.create_gallery_model("p", "demand")
@@ -299,4 +307,5 @@ class TestCircuitBreaker:
         with pytest.raises(MetadataStoreError):
             client.get_model_instance(instance["instance_id"])
         # The server answered; only the STORE behind it failed.
-        client.audit_storage()  # breaker still closed
+        assert transport.breaker_states() == {"replica:1": "closed"}
+        client.audit_storage()

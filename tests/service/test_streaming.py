@@ -9,7 +9,8 @@ The acceptance bar for PR 5's streaming layer:
 * an error raised mid-stream (after the first chunk is already on the
   wire) surfaces to the client as a typed wire error, not a hung
   reassembly;
-* the pooled/pipelined client paths reassemble transparently.
+* the pipelined client paths, ``connect()`` included, reassemble
+  transparently.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import pytest
 from repro import build_gallery
 from repro.core import ManualClock, SeededIdFactory
 from repro.errors import ServiceError
-from repro.service import wire
+from repro.service import connect, wire
 from repro.service.client import GalleryClient
 from repro.service.server import GalleryService
 from repro.service.tcp import (
-    ConnectionPool,
     GalleryTcpServer,
     PipelinedTcpTransport,
     TcpTransport,
@@ -212,28 +212,37 @@ class TestMidStreamErrors:
                 assert client.audit_storage()["consistent"]
 
 
-class TestPooledStreaming:
-    def test_pool_submit_many_spreads_and_reassembles(self):
-        with GalleryTcpServer(build_service()) as server:
-            instance_id = upload_blob(server.address)
-            pool = ConnectionPool(*server.address, size=4)
-            try:
-                client = GalleryClient(pool, dialect=DIALECT_BINARY)
-                with client.pipeline() as pipe:
-                    handles = [
-                        pipe.load_model_blob(instance_id) for _ in range(8)
-                    ]
-                assert all(handle.result() == _BLOB for handle in handles)
-                assert pool.dials > 1  # the batch really used several sockets
-            finally:
-                pool.close()
+class TestFailoverStreaming:
+    """Streamed blobs through the production client stack, ``connect()``."""
 
-    def test_pool_concurrent_checkout_and_close_stress(self):
-        """close() racing live checkouts must neither deadlock nor wedge."""
+    def test_submit_many_spreads_and_reassembles(self):
+        service = build_service()
+        with GalleryTcpServer(service) as first, GalleryTcpServer(service) as second:
+            instance_id = upload_blob(first.address)
+            dialed = []
+
+            def factory(endpoint):
+                dialed.append(endpoint.address)
+                return PipelinedTcpTransport(endpoint.host, endpoint.port)
+
+            url = "gallery://{}:{},{}:{}".format(*first.address, *second.address)
+            with connect(url, transport_factory=factory) as client:
+                with client.pipeline() as pipe:
+                    handles = [pipe.load_model_blob(instance_id) for _ in range(8)]
+                assert all(handle.result() == _BLOB for handle in handles)
+            # the batch really used both replicas' connections
+            assert sorted(dialed) == sorted(
+                "{}:{}".format(*server.address) for server in (first, second)
+            )
+
+    def test_concurrent_calls_and_close_stress(self):
+        """close() racing live pipelined calls must neither deadlock nor
+        wedge the client."""
         with GalleryTcpServer(build_service()) as server:
-            pool = ConnectionPool(*server.address, size=4)
-            frame = wire.encode_request(
-                Request(method="auditStorage", request_id=1), DIALECT_BINARY
+            # The breaker would (correctly) open under a close storm; keep
+            # it out of reach so every call exercises the wire.
+            client = connect(
+                "gallery://{}:{}".format(*server.address), failure_threshold=10_000
             )
             errors: list[BaseException] = []
             done = threading.Event()
@@ -241,8 +250,7 @@ class TestPooledStreaming:
             def hammer():
                 for _ in range(40):
                     try:
-                        response = wire.decode_response(pool(frame))
-                        assert response.ok
+                        assert client.audit_storage()["consistent"]
                     except ServiceError:
                         pass  # a concurrently closed socket is acceptable
                     except BaseException as exc:  # noqa: BLE001
@@ -251,7 +259,7 @@ class TestPooledStreaming:
 
             def closer():
                 while not done.is_set():
-                    pool.close()
+                    client.close()
 
             workers = [threading.Thread(target=hammer) for _ in range(8)]
             close_thread = threading.Thread(target=closer)
@@ -260,11 +268,11 @@ class TestPooledStreaming:
             close_thread.start()
             for worker in workers:
                 worker.join(timeout=60.0)
-                assert not worker.is_alive(), "pool call deadlocked"
+                assert not worker.is_alive(), "client call deadlocked"
             done.set()
             close_thread.join(timeout=10.0)
             assert not close_thread.is_alive()
             assert errors == []
-            # The pool still serves after all that.
-            assert wire.decode_response(pool(frame)).ok
-            pool.close()
+            # The client still serves after all that.
+            assert client.audit_storage()["consistent"]
+            client.close()

@@ -726,9 +726,14 @@ class TestUnknownMethodCompat:
 
     def test_new_client_fails_fast_without_retry_burn(self):
         from repro.errors import UnknownMethodError
-        from repro.service.client import InProcessTransport, RetryingTransport
+        from repro.service.client import InProcessTransport
+        from repro.service.endpoints import Endpoint, FailoverTransport
 
-        transport = RetryingTransport(InProcessTransport(self._old_server()))
+        old_server = self._old_server()
+        transport = FailoverTransport(
+            (Endpoint("old", 1),),
+            transport_factory=lambda _ep: InProcessTransport(old_server),
+        )
         client = GalleryClient(transport)
         with pytest.raises(UnknownMethodError):
             client.family_query("sf:rf")
@@ -736,4 +741,4 @@ class TestUnknownMethodCompat:
             client.serving_for("sf")
         with pytest.raises(UnknownMethodError):
             client.assign_serving("sf", "i-1")
-        assert transport.retries == 0, "deterministic errors must not be retried"
+        assert transport.attempts == 3, "deterministic errors must not be retried"
